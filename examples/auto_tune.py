@@ -73,7 +73,7 @@ def main() -> None:
         )
         print(f"\nalgorithm='auto' chose {run.algorithm}: "
               f"{fmt_time(run.elapsed)} "
-              f"({run.trace_counters.get('tune.auto_trials', 0)} trials raced)")
+              f"({run.metrics['counters'].get('tune.auto_trials', 0)} trials raced)")
 
 
 if __name__ == "__main__":

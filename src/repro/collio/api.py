@@ -10,25 +10,26 @@ Two levels:
   resulting file byte-for-byte, and returns a
   :class:`CollectiveWriteResult`.
 
-The :class:`RunSpec` dataclass is the primary way to describe a run::
+A :class:`RunSpec` is the only way to describe a run::
 
     spec = RunSpec(cluster=crill(), fs=beegfs_crill(), nprocs=16,
                    views=views, algorithm="write_comm2", trace=True)
     result = run_collective_write(spec)
     result.overlap_efficiency()      # fraction of write time hidden
+    result.metrics["counters"]       # the run's one metrics channel
 
-The pre-RunSpec keyword signature still works but emits a
-``DeprecationWarning``.
+Every run, plain or crash-recovering, executes through
+:func:`run_attempt` (one world, harvested into a :class:`Harvest`) and
+:func:`assemble_result` (harvest -> result and metrics snapshot); the
+recovery manager only adds the loop around the attempt.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import sys
-import warnings
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, ClassVar
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from repro.collio.plan import (
 from repro.collio.shuffle import SHUFFLE_PRIMITIVES, make_shuffle
 from repro.collio.view import FileView
 from repro.config import DEFAULT_SEED
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults.retry import RetryPolicy
 from repro.faults.spec import FaultSpec
 from repro.fs.presets import FsSpec
@@ -160,6 +161,14 @@ class RunSpec(SpecBase):
                     f"staging must be a StagingSpec or None, "
                     f"got {type(self.staging).__name__}"
                 )
+        if self.recovery is not None:
+            from repro.recovery.spec import RecoverySpec  # local: layering
+
+            if not isinstance(self.recovery, RecoverySpec):
+                raise ConfigurationError(
+                    f"recovery must be a RecoverySpec or None, "
+                    f"got {type(self.recovery).__name__}"
+                )
         config = self.config or CollectiveConfig()
         if (self.verify or config.verify) and not self.carry_data:
             raise ConfigurationError("verify=True requires carry_data=True")
@@ -193,47 +202,12 @@ class RunSpec(SpecBase):
             config = config.with_(staging=self.staging)
         return config
 
-
-#: Legacy positional order of the pre-RunSpec signature (shim support).
-_LEGACY_POSITIONAL = (
-    "cluster", "fs", "nprocs", "views", "data_factory", "algorithm",
-    "shuffle", "config", "seed", "verify", "carry_data", "plan", "path",
-    "faults", "retry", "auto_cache_dir",
-)
-#: Old keyword spellings that were renamed in RunSpec.
-_LEGACY_RENAMES = {"cluster_spec": "cluster", "fs_spec": "fs"}
-
-#: Call sites (file, line) that already received the legacy deprecation
-#: warning — each site warns once, so a sweep looping over the shim does
-#: not drown its own output.
-_LEGACY_WARNED_SITES: set[tuple[str, int]] = set()
-
-
-def _legacy_call_check() -> None:
-    """Reject (strict mode) or warn about a legacy loose-argument call.
-
-    ``REPRO_STRICT_API=1`` turns the deprecated calling convention into
-    an immediate ``TypeError`` — the migration endgame, and a cheap way
-    for a CI job to prove a tree is shim-free.  Otherwise the shim emits
-    one ``DeprecationWarning`` per call site pointing at :class:`RunSpec`.
-    """
-    if os.environ.get("REPRO_STRICT_API", "") not in ("", "0"):
-        raise TypeError(
-            "REPRO_STRICT_API is set: run_collective_write() requires a "
-            "RunSpec; the legacy loose-argument convention is disabled. "
-            "Call run_collective_write(RunSpec(...))."
-        )
-    caller = sys._getframe(2)
-    site = (caller.f_code.co_filename, caller.f_lineno)
-    if site in _LEGACY_WARNED_SITES:
-        return
-    _LEGACY_WARNED_SITES.add(site)
-    warnings.warn(
-        "calling run_collective_write with loose arguments is deprecated; "
-        "pass a RunSpec instead: run_collective_write(RunSpec(...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+    def payloads(self) -> dict[int, np.ndarray | None]:
+        """Each rank's payload buffer (None per rank in size-only mode)."""
+        return {
+            r: self.data_factory(r, self.views[r].total_bytes) if self.carry_data else None
+            for r in range(self.nprocs)
+        }
 
 
 def build_plan(
@@ -383,13 +357,13 @@ class CollectiveWriteResult:
     #: SHA-256 of the actual file bytes read back from the simulated PFS
     #: (set by verification runs; None when ``verify`` was off).
     file_sha256: str | None = None
-    #: Snapshot of the world tracer's always-on counters after the run
-    #: (``fault.*`` injections, ``retry.*`` recoveries, protocol events).
-    trace_counters: dict = field(default_factory=dict)
     #: Closed spans recorded during the run (``RunSpec(trace=True)`` only).
     spans: list = field(default_factory=list, repr=False)
-    #: :meth:`MetricsRegistry.snapshot` of run metrics (counters merged
-    #: with engine statistics, gauges, span-duration histograms).
+    #: :meth:`MetricsRegistry.snapshot` of the run's metrics — the one
+    #: channel for counters (tracer ``fault.*``/``retry.*``/protocol
+    #: counts, engine, fs, comm, bufpool, staging, integrity, recovery,
+    #: tune), gauges and span-duration histograms; names follow the
+    #: prefix schema in DESIGN.md.
     metrics: dict = field(default_factory=dict, repr=False)
     #: :class:`~repro.recovery.report.RecoveryReport` when the run went
     #: through the crash-recovery manager; None for plain runs.
@@ -405,9 +379,6 @@ class CollectiveWriteResult:
             return self.per_rank_stats[rank].time_in(phase)
         return max(s.time_in(phase) for s in self.per_rank_stats)
 
-    def aggregate_counter(self, counter: str) -> int:
-        return sum(s.counters.get(counter, 0) for s in self.per_rank_stats)
-
     def overlap_report(self):
         """Overlap analysis of the recorded spans (needs ``trace=True``)."""
         from repro.obs.overlap import overlap_report
@@ -419,15 +390,17 @@ class CollectiveWriteResult:
         return self.overlap_report().efficiency
 
 
-def run_collective_write(spec: RunSpec = None, *args: Any, **kwargs: Any) -> CollectiveWriteResult:
+def run_collective_write(spec: RunSpec, *args: Any, **kwargs: Any) -> CollectiveWriteResult:
     """Build a world, run one collective write, return timing (and verify).
 
-    The primary signature takes a single :class:`RunSpec`::
+    Takes exactly one :class:`RunSpec`::
 
         run_collective_write(RunSpec(cluster=..., fs=..., nprocs=..., views=...))
 
     ``spec.views`` maps every rank to its :class:`FileView`;
     ``spec.data_factory(rank, nbytes)`` produces each rank's payload.
+    Anything else (loose arguments, or a spec plus overrides) is a
+    ``TypeError``; vary a spec with :meth:`RunSpec.replace`.
 
     ``carry_data=False`` runs in size-only mode: every transfer and write
     carries only its byte count, producing *identical simulated timing*
@@ -441,53 +414,31 @@ def run_collective_write(spec: RunSpec = None, *args: Any, **kwargs: Any) -> Col
     file-access phase in a :class:`~repro.faults.retry.RetryPolicy`
     (shorthand for ``config.with_(retry=...)``).  Injection decisions
     draw from seeded streams, so a faulty run is reproducible from
-    ``(faults, seed)`` alone.
+    ``(faults, seed)`` alone.  Crash-class faults route the run through
+    :func:`repro.recovery.manager.run_with_recovery`, which loops the
+    same attempt; any other run is a single attempt, with no journal, no
+    ``attempt<N>`` spans, no ``recovery.*`` metrics and
+    ``result.recovery is None``.
 
     ``algorithm="auto"`` asks the tuner to pick: the candidate overlap
     algorithms are raced once each on these exact views (size-only
     simulations sharing this call's seed) and the winner runs the real
     write.  The returned result reports the *chosen* algorithm, and its
-    ``trace_counters`` gain ``tune.auto_select`` / ``tune.auto_trials``
-    (or ``tune.auto_cache_hit`` when ``auto_cache_dir`` holds a
-    previously cached decision for this workload shape).
+    ``metrics["counters"]`` gain ``tune.auto_select`` /
+    ``tune.auto_trials`` (or ``tune.auto_cache_hit`` when
+    ``auto_cache_dir`` holds a previously cached decision for this
+    workload shape).
 
     ``trace=True`` records span timelines: the result's ``spans`` feed
     :func:`repro.obs.export.chrome_trace` and
     :meth:`CollectiveWriteResult.overlap_report`.
-
-    The pre-RunSpec calling convention — loose positional/keyword
-    arguments, with ``cluster_spec``/``fs_spec`` spellings — still works
-    but emits a ``DeprecationWarning`` (once per call site).  Setting
-    ``REPRO_STRICT_API=1`` in the environment disables the shim: legacy
-    calls then raise ``TypeError`` immediately.
     """
-    if isinstance(spec, RunSpec):
-        if args or kwargs:
-            raise TypeError(
-                "run_collective_write(spec) takes no further arguments; "
-                "use RunSpec.replace(...) to vary a spec"
-            )
-        return _run(spec)
-    # Legacy shim: map the old positional order / keyword spellings.
-    _legacy_call_check()
-    positional = args if spec is None else (spec, *args)
-    if len(positional) > len(_LEGACY_POSITIONAL):
-        raise TypeError(f"too many positional arguments ({len(positional)})")
-    mapped = dict(zip(_LEGACY_POSITIONAL, positional))
-    for key, value in kwargs.items():
-        name = _LEGACY_RENAMES.get(key, key)
-        if name in mapped:
-            raise TypeError(f"duplicate argument {key!r}")
-        mapped[name] = value
-    known = {f.name for f in fields(RunSpec)}
-    unknown = sorted(set(mapped) - known)
-    if unknown:
-        raise TypeError(f"unknown argument(s): {', '.join(unknown)}")
-    return _run(RunSpec(**mapped))
-
-
-def _run(spec: RunSpec) -> CollectiveWriteResult:
-    """Execute a validated :class:`RunSpec`."""
+    if not isinstance(spec, RunSpec) or args or kwargs:
+        raise TypeError(
+            "run_collective_write() takes exactly one RunSpec and no further "
+            "arguments: call run_collective_write(RunSpec(...)) and vary a "
+            "spec with RunSpec.replace(...)"
+        )
     spec.validate()
     config = spec.resolved_config()
     algorithm = spec.algorithm
@@ -506,6 +457,141 @@ def _run(spec: RunSpec) -> CollectiveWriteResult:
         from repro.recovery.manager import run_with_recovery
 
         return run_with_recovery(spec, algorithm, config, auto_counters)
+    payloads = spec.payloads()
+    attempt = run_attempt(spec, algorithm, config, spec.views, payloads, plan=spec.plan)
+    if attempt.failure is not None:
+        raise attempt.failure
+    attempt.harvest.count(auto_counters or {})
+    return assemble_result(
+        spec, config, algorithm, attempt, attempt.harvest, payloads,
+        plan=attempt.plan, elapsed=attempt.elapsed, spans=attempt.spans,
+    )
+
+
+#: How a gauge combines when harvests of several attempts are summed;
+#: any other gauge keeps the latest attempt's value.
+_GAUGE_MERGE: dict[str, Callable[[float, float], float]] = {
+    "sim.max_heap_len": max,
+    "staging.occupancy_peak": max,
+    "fs.bytes_written": operator.add,
+}
+
+
+@dataclass
+class Harvest:
+    """Counters and gauges read off finished worlds.
+
+    :func:`run_attempt` harvests one world; the recovery manager sums the
+    harvests of all its attempts with :meth:`add` (counters add, gauges
+    combine per ``_GAUGE_MERGE``), and :func:`assemble_result` turns the
+    total into the result's metrics snapshot.
+    """
+
+    counters: dict[str, int] = field(default_factory=dict)
+    gauges: dict[str, float] = field(default_factory=dict)
+
+    def count(self, counters: Mapping[str, int]) -> None:
+        """Add a ``{name: value}`` counter mapping."""
+        for name, value in counters.items():
+            self.counters[name] = self.counters.get(name, 0) + value
+
+    def add(self, other: "Harvest") -> None:
+        """Fold a later attempt's harvest into this one."""
+        self.count(other.counters)
+        for name, value in other.gauges.items():
+            merge = _GAUGE_MERGE.get(name)
+            if merge is not None and name in self.gauges:
+                value = merge(self.gauges[name], value)
+            self.gauges[name] = value
+
+
+def _harvest(world: World, stats: list | None) -> Harvest:
+    """Every producer's counters and gauges from one attempt's world.
+
+    Covers the tracer (``fault.*``, ``retry.*``, ``integrity.*``,
+    protocol counters), the engine, the file system, the buffer pools,
+    the staging tier and — when the attempt completed and returned its
+    per-rank :class:`~repro.collio.context.PhaseStats` — the ``comm.*``
+    and ``intranode.*`` message counts.
+    """
+    harvest = Harvest()
+    harvest.count(world.cluster.tracer.counters)
+    targets = world.pfs.targets
+    harvest.count({
+        "sim.events_processed": world.engine.events_processed,
+        "fs.writes_failed": sum(t.writes_failed for t in targets),
+        "fs.writes_rejected": sum(t.writes_rejected for t in targets),
+    })
+    harvest.count(world.buffer_pool_counters())
+    harvest.gauges.update({
+        "sim.max_heap_len": world.engine.max_heap_len,
+        "fs.bytes_written": world.pfs.bytes_written,
+        "fs.targets_down": sum(1 for t in targets if t.down),
+    })
+    if stats is not None:
+        def per_rank(name: str) -> int:
+            return sum(s.counters.get(name, 0) for s in stats)
+
+        harvest.count({
+            "comm.messages_inter_node": per_rank("messages_inter_node"),
+            "comm.messages_intra_node": per_rank("messages_intra_node"),
+        })
+        if per_rank("gather_messages"):
+            harvest.count({
+                "intranode.gather_messages": per_rank("gather_messages"),
+                "intranode.gather_bytes": per_rank("gather_bytes"),
+                "intranode.leader_local_copies": per_rank("gather_local_copies"),
+            })
+    tier = world.staging
+    if tier is not None:
+        harvest.count(tier.counter_totals())
+        harvest.gauges.update({
+            "staging.occupancy_peak": tier.occupancy_peak(),
+            "staging.capacity": tier.spec.capacity,
+            "staging.undrained_bytes": tier.undrained_bytes(),
+        })
+    return harvest
+
+
+@dataclass
+class Attempt:
+    """One world's run of the collective write (see :func:`run_attempt`)."""
+
+    world: World
+    plan: TwoPhasePlan
+    #: Simulated time the world ran for (to completion or to the failure).
+    elapsed: float
+    #: Per-rank :class:`~repro.collio.context.PhaseStats`; None on failure.
+    stats: list | None
+    #: The error that aborted the attempt, or None if it completed.
+    failure: BaseException | None
+    #: Closed spans on the attempt's own clock (``trace=True`` only).
+    spans: list
+    harvest: Harvest
+
+
+def run_attempt(
+    spec: RunSpec,
+    algorithm: str,
+    config: CollectiveConfig,
+    views: dict[int, FileView],
+    payloads: dict[int, np.ndarray | None],
+    plan: TwoPhasePlan | None = None,
+    files: dict | None = None,
+    **world_state: Any,
+) -> Attempt:
+    """Build one world, run :func:`collective_write` on every rank, harvest it.
+
+    The one place a collective write executes: a plain run calls it once;
+    the recovery manager calls it per attempt with replay ``views``, the
+    carried-over durable ``files`` and ``world_state`` (the ``journal``,
+    ``crashed_ranks`` and ``down_targets`` :class:`World` arguments).
+    ``plan`` is built for ``views`` — barring crashed ranks from
+    aggregator duty — unless supplied.  An error the recovery manager
+    can act on (:class:`ReproError`, ``ValueError``) is returned in
+    :attr:`Attempt.failure` instead of raised, so the failed world is
+    still harvested.
+    """
     recorder = (
         SpanRecorder(enabled=True, max_records=spec.max_trace_records)
         if spec.trace
@@ -513,37 +599,67 @@ def _run(spec: RunSpec) -> CollectiveWriteResult:
     )
     world = World(
         spec.cluster, spec.nprocs, fs_spec=spec.fs, seed=spec.seed,
-        faults=spec.faults, tracer=recorder,
+        faults=spec.faults, tracer=recorder, **world_state,
     )
-    algo = make_algorithm(algorithm)
-    plan = spec.plan
+    if files is not None:
+        world.pfs.adopt_files(files)
+    cycle_bytes = make_algorithm(algorithm).cycle_bytes(config.cb_buffer_size)
     if plan is None:
         plan = build_plan(
-            world.cluster, spec.nprocs, spec.views, config,
-            algo.cycle_bytes(config.cb_buffer_size),
-            stripe_size=spec.fs.stripe_size,
+            world.cluster, spec.nprocs, views, config, cycle_bytes,
+            stripe_size=spec.fs.stripe_size, exclude_ranks=world.crashed_ranks,
         )
-    elif plan.cycle_bytes != algo.cycle_bytes(config.cb_buffer_size):
+    elif plan.cycle_bytes != cycle_bytes:
         raise ConfigurationError(
             f"supplied plan has cycle_bytes={plan.cycle_bytes}, but algorithm "
-            f"{algorithm!r} needs {algo.cycle_bytes(config.cb_buffer_size)}"
+            f"{algorithm!r} needs {cycle_bytes}"
         )
-    payloads = {
-        r: spec.data_factory(r, spec.views[r].total_bytes) if spec.carry_data else None
-        for r in range(spec.nprocs)
-    }
 
     def program(mpi):
         fh = yield from mpi.file_open(spec.path)
         stats = yield from collective_write(
-            mpi, fh, spec.views[mpi.rank], payloads[mpi.rank], plan,
+            mpi, fh, views[mpi.rank], payloads[mpi.rank], plan,
             algorithm=algorithm, shuffle=spec.shuffle, config=config,
         )
         return stats
 
-    t_start = world.now
-    stats = world.run(program)
-    elapsed = world.now - t_start
+    stats = failure = None
+    try:
+        stats = world.run(program)
+    except (ReproError, ValueError) as exc:
+        failure = exc
+    return Attempt(
+        world=world,
+        plan=plan,
+        elapsed=world.now,
+        stats=stats,
+        failure=failure,
+        spans=recorder.closed_spans() if recorder is not None else [],
+        harvest=_harvest(world, stats),
+    )
+
+
+def assemble_result(
+    spec: RunSpec,
+    config: CollectiveConfig,
+    algorithm: str,
+    final: Attempt,
+    harvest: Harvest,
+    payloads: dict[int, np.ndarray | None],
+    *,
+    plan: TwoPhasePlan,
+    elapsed: float,
+    spans: list,
+    recovery: Any = None,
+) -> CollectiveWriteResult:
+    """The :class:`CollectiveWriteResult` of a completed run.
+
+    ``final`` is the completed attempt (its world holds the file, its
+    per-rank stats and integrity layer are reported); ``harvest`` is the
+    run's total (auto-selection, every attempt and, for recovery runs,
+    the ``recovery.*`` counters); ``plan``/``elapsed``/``spans`` are the
+    run-level values, which differ from ``final``'s under recovery.
+    """
     result = CollectiveWriteResult(
         algorithm=algorithm,
         shuffle=spec.shuffle,
@@ -554,73 +670,26 @@ def _run(spec: RunSpec) -> CollectiveWriteResult:
         total_bytes=plan.total_bytes,
         elapsed=elapsed,
         write_bandwidth=plan.total_bytes / elapsed if elapsed > 0 else 0.0,
-        per_rank_stats=stats,
-        trace_counters=dict(world.cluster.tracer.counters),
+        per_rank_stats=final.stats,
+        spans=spans,
+        recovery=recovery,
     )
-    if auto_counters:
-        result.trace_counters.update(auto_counters)
-    if world.integrity is not None:
-        result.integrity = world.integrity.snapshot()
-    if recorder is not None:
-        result.spans = recorder.closed_spans()
-    result.metrics = _run_metrics(world, result, auto_counters).snapshot()
-    if spec.verify or config.verify:
-        result.verified, result.file_sha256 = _verify_file(
-            world, spec.path, spec.views, payloads
-        )
-    return result
-
-
-def _run_metrics(
-    world: World, result: CollectiveWriteResult, auto_counters: dict | None
-) -> MetricsRegistry:
-    """Assemble the run's :class:`MetricsRegistry` (counters/gauges/histograms)."""
+    if final.world.integrity is not None:
+        result.integrity = final.world.integrity.snapshot()
     registry = MetricsRegistry()
-    registry.merge_counters(world.cluster.tracer.counters)
-    if auto_counters:
-        registry.merge_counters(auto_counters)
-    registry.counter("sim.events_processed").inc(world.engine.events_processed)
-    registry.gauge("sim.max_heap_len").set(world.engine.max_heap_len)
+    registry.merge_counters(harvest.counters)
+    for name, value in harvest.gauges.items():
+        registry.gauge(name).set(value)
     registry.gauge("run.elapsed").set(result.elapsed)
     registry.gauge("run.write_bandwidth").set(result.write_bandwidth)
-    registry.gauge("fs.bytes_written").set(world.pfs.bytes_written if world.pfs else 0)
-    if world.pfs is not None:
-        registry.counter("fs.writes_failed").inc(
-            sum(t.writes_failed for t in world.pfs.targets)
-        )
-        registry.counter("fs.writes_rejected").inc(
-            sum(t.writes_rejected for t in world.pfs.targets)
-        )
-        registry.gauge("fs.targets_down").set(
-            sum(1 for t in world.pfs.targets if t.down)
-        )
-    registry.counter("comm.messages_inter_node").inc(
-        result.aggregate_counter("messages_inter_node")
-    )
-    registry.counter("comm.messages_intra_node").inc(
-        result.aggregate_counter("messages_intra_node")
-    )
-    for name, value in world.buffer_pool_counters().items():
-        registry.counter(name).inc(value)
-    tier = getattr(world, "staging", None)
-    if tier is not None:
-        for name, value in tier.counter_totals().items():
-            registry.counter(name).inc(value)
-        registry.gauge("staging.occupancy_peak").set(tier.occupancy_peak())
-        registry.gauge("staging.capacity").set(tier.spec.capacity)
-        registry.gauge("staging.undrained_bytes").set(tier.undrained_bytes())
-    gather_messages = result.aggregate_counter("gather_messages")
-    if gather_messages:
-        registry.counter("intranode.gather_messages").inc(gather_messages)
-        registry.counter("intranode.gather_bytes").inc(
-            result.aggregate_counter("gather_bytes")
-        )
-        registry.counter("intranode.leader_local_copies").inc(
-            result.aggregate_counter("gather_local_copies")
-        )
-    for span in result.spans:
+    for span in spans:
         registry.histogram(f"span.{span.category}.dur").observe(span.dur)
-    return registry
+    result.metrics = registry.snapshot()
+    if spec.verify or config.verify:
+        result.verified, result.file_sha256 = _verify_file(
+            final.world, spec.path, spec.views, payloads
+        )
+    return result
 
 
 def _verify_file(

@@ -27,23 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.collio.api import (
-    CollectiveWriteResult,
-    build_plan,
-    collective_write,
-    _verify_file,
-)
-from repro.collio.overlap import make_algorithm
+from repro.collio.api import Harvest, assemble_result, run_attempt
 from repro.collio.view import FileView
-from repro.errors import (
-    ConfigurationError,
-    RankCrashError,
-    RecoveryExhaustedError,
-    ReproError,
-)
-from repro.mpi.world import World
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Span, SpanRecorder
+from repro.errors import RankCrashError, RecoveryExhaustedError
+from repro.obs.span import Span
 from repro.recovery.journal import CycleJournal
 from repro.recovery.report import RecoveryReport
 from repro.recovery.spec import RecoverySpec
@@ -98,7 +85,11 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
 
     Called by :func:`repro.collio.api.run_collective_write` when the
     spec's :class:`~repro.faults.spec.FaultSpec` has crash-class faults;
-    ``algorithm`` is already resolved (never ``"auto"``).  Returns a
+    ``algorithm`` is already resolved (never ``"auto"``).  Each attempt
+    is one :func:`~repro.collio.api.run_attempt` — the same one a plain
+    run makes — and the result is assembled from the summed harvests by
+    :func:`~repro.collio.api.assemble_result`, so a recovery run reports
+    every metric a plain run does plus the ``recovery.*`` set.  Returns a
     :class:`~repro.collio.api.CollectiveWriteResult` whose ``recovery``
     field carries the :class:`~repro.recovery.report.RecoveryReport`.
 
@@ -106,43 +97,25 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
     budget runs out or a failed attempt yields no new fault information
     (which would loop forever, as the schedule is deterministic).
     """
+    spec.validate()
     rspec = spec.recovery if spec.recovery is not None else RecoverySpec()
-    if not isinstance(rspec, RecoverySpec):
-        raise ConfigurationError(
-            f"RunSpec.recovery must be a RecoverySpec or None, got {type(rspec).__name__}"
-        )
-    algo = make_algorithm(algorithm)
-    cycle_bytes = algo.cycle_bytes(config.cb_buffer_size)
-    payloads = {
-        r: spec.data_factory(r, spec.views[r].total_bytes) if spec.carry_data else None
-        for r in range(spec.nprocs)
-    }
+    payloads = spec.payloads()
     budget = rspec.attempt_budget(spec.nprocs, spec.fs.num_targets)
 
     journal = CycleJournal()
+    total = Harvest(counters=dict(auto_counters or {}))
     crashed: set[int] = set()
     down: set[int] = set()
     files = None  # durable file store, carried world to world
     base = 0.0  # global-clock offset of the current attempt
-    all_spans: list[Span] = []
-    counters: dict[str, int] = {}
+    spans: list[Span] = []
     events: list[dict] = []
-    events_processed = 0
-    bytes_written = 0
-    writes_failed = 0
-    writes_rejected = 0
-    max_heap_len = 0
     replayed_bytes = 0
     torn_total = 0
-    staging_counters: dict[str, int] = {}
-    staging_peak = 0
     staging_lost = 0
-    staging_used = False
-    integrity_snapshot = None  # last attempt's layer snapshot
     total_failover = 0.0
     plan0 = None  # the intended (attempt-1) plan, reported in the result
-    final_world = None
-    final_stats = None
+    final = None
     attempt = 0
     last_failure: BaseException | None = None
 
@@ -152,18 +125,6 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
             raise RecoveryExhaustedError(
                 "all storage targets are down; no survivors to remap onto"
             ) from last_failure
-        recorder = (
-            SpanRecorder(enabled=True, max_records=spec.max_trace_records)
-            if spec.trace
-            else None
-        )
-        world = World(
-            spec.cluster, spec.nprocs, fs_spec=spec.fs, seed=spec.seed,
-            faults=spec.faults, tracer=recorder, journal=journal,
-            crashed_ranks=frozenset(crashed), down_targets=frozenset(down),
-        )
-        if files is not None:
-            world.pfs.adopt_files(files)
         durable = files.get(spec.path) if files is not None else None
         intervals, torn = journal.committed_intervals(durable)
         torn_total += torn
@@ -174,83 +135,47 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
         remaining = sum(v.total_bytes for v in views.values())
         if attempt > 1:
             replayed_bytes += remaining
-        plan = build_plan(
-            world.cluster, spec.nprocs, views, config, cycle_bytes,
-            stripe_size=spec.fs.stripe_size, exclude_ranks=frozenset(crashed),
+        run = run_attempt(
+            spec, algorithm, config, views, payloads, files=files,
+            journal=journal, crashed_ranks=frozenset(crashed),
+            down_targets=frozenset(down),
         )
         if plan0 is None:
-            plan0 = plan
-        attempt_span = None
-        if recorder is not None:
-            attempt_span = recorder.begin(
-                0.0, f"attempt{attempt}", "recovery", flow="async",
-                attempt=attempt, remaining_bytes=remaining,
-                aggregators=list(plan.aggregators),
-            )
-
-        def program(mpi):
-            fh = yield from mpi.file_open(spec.path)
-            stats = yield from collective_write(
-                mpi, fh, views[mpi.rank], payloads[mpi.rank], plan,
-                algorithm=algorithm, shuffle=spec.shuffle, config=config,
-            )
-            return stats
-
-        failure: BaseException | None = None
-        stats = None
-        try:
-            stats = world.run(program)
-        except (ReproError, ValueError) as exc:
-            failure = exc
-        elapsed = world.now
-
-        # Harvest durable / diagnostic state from the attempt's world.
+            plan0 = run.plan
+        total.add(run.harvest)
+        world = run.world
         files = world.pfs._files
         newly_down = sorted(
             {t.target_id for t in world.pfs.targets if t.down} - down
         )
         down.update(newly_down)
-        for key, val in world.cluster.tracer.counters.items():
-            counters[key] = counters.get(key, 0) + val
-        events_processed += world.engine.events_processed
-        bytes_written += world.pfs.bytes_written
-        writes_failed += sum(t.writes_failed for t in world.pfs.targets)
-        writes_rejected += sum(t.writes_rejected for t in world.pfs.targets)
-        max_heap_len = max(max_heap_len, world.engine.max_heap_len)
-        # Burst-buffer accounting: the tier is per-attempt (volatile — a
-        # crash loses whatever had not drained), so counters accumulate
-        # across attempts and undrained bytes of a *failed* attempt are
-        # the data the crash destroyed (the journal never committed them,
-        # so replay re-drives those cycles).
-        layer = getattr(world, "integrity", None)
-        if layer is not None:
-            integrity_snapshot = layer.snapshot()
-        tier = getattr(world, "staging", None)
-        if tier is not None:
-            staging_used = True
-            for name, value in tier.counter_totals().items():
-                staging_counters[name] = staging_counters.get(name, 0) + value
-            staging_peak = max(staging_peak, tier.occupancy_peak())
-            if failure is not None:
-                staging_lost += tier.undrained_bytes()
-        if recorder is not None:
-            recorder.end(attempt_span, elapsed)
-            for span in recorder.closed_spans():
+        if spec.trace:
+            # Shift the attempt's timeline onto the global clock.
+            spans.append(Span(
+                name=f"attempt{attempt}", category="recovery", rank=-1,
+                t0=base, t1=base + run.elapsed, flow="async",
+                attrs={"attempt": attempt, "remaining_bytes": remaining,
+                       "aggregators": list(run.plan.aggregators)},
+            ))
+            for span in run.spans:
                 span.t0 += base
                 span.t1 += base
-                all_spans.append(span)
+                spans.append(span)
 
-        if failure is None:
+        if run.failure is None:
             events.append({
-                "attempt": attempt, "t": base + elapsed, "kind": "completed",
+                "attempt": attempt, "t": base + run.elapsed, "kind": "completed",
                 "replayed_bytes": remaining if attempt > 1 else 0,
             })
-            final_world = world
-            final_stats = stats
-            base += elapsed
+            final = run
+            base += run.elapsed
             break
 
-        last_failure = failure
+        # The staging tier is per-attempt (volatile): bytes a failed
+        # attempt had not drained are the data the crash destroyed (the
+        # journal never committed them, so replay re-drives those cycles).
+        staging_lost += run.harvest.gauges.get("staging.undrained_bytes", 0)
+        failure = last_failure = run.failure
         if isinstance(failure, RankCrashError):
             crashed.add(failure.rank)
             event_kind = "rank_crash"
@@ -268,18 +193,18 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
         failover = rspec.detection_timeout + rspec.failover_overhead
         total_failover += failover
         events.append({
-            "attempt": attempt, "t": base + elapsed, "kind": event_kind,
+            "attempt": attempt, "t": base + run.elapsed, "kind": event_kind,
             "error": type(failure).__name__, **detail,
         })
         if spec.trace:
-            all_spans.append(Span(
+            spans.append(Span(
                 name="failover", category="recovery", rank=-1,
-                t0=base + elapsed, t1=base + elapsed + failover, flow="async",
-                attrs={"attempt": attempt, **detail},
+                t0=base + run.elapsed, t1=base + run.elapsed + failover,
+                flow="async", attrs={"attempt": attempt, **detail},
             ))
-        base += elapsed + failover
+        base += run.elapsed + failover
 
-    if final_world is None:
+    if final is None:
         raise RecoveryExhaustedError(
             f"collective write did not complete within {budget} attempts"
         ) from last_failure
@@ -295,53 +220,17 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
         completed=True,
         events=events,
     )
-    result = CollectiveWriteResult(
-        algorithm=algorithm,
-        shuffle=spec.shuffle,
-        nprocs=spec.nprocs,
-        num_aggregators=len(plan0.aggregators),
-        num_cycles=plan0.num_cycles,
-        cycle_bytes=plan0.cycle_bytes,
-        total_bytes=plan0.total_bytes,
-        elapsed=base,
-        write_bandwidth=plan0.total_bytes / base if base > 0 else 0.0,
-        per_rank_stats=final_stats,
-        trace_counters=dict(counters),
-        spans=all_spans,
-        recovery=report,
-        integrity=integrity_snapshot,
+    total.count({
+        "recovery.attempts": attempt,
+        "recovery.rank_crashes": len(crashed),
+        "recovery.ost_outages": len(down),
+        "recovery.replayed_bytes": replayed_bytes,
+        "recovery.torn_cycles": torn_total,
+    })
+    total.gauges["recovery.failover_time"] = total_failover
+    if "staging.capacity" in total.gauges:
+        total.count({"staging.lost_bytes": staging_lost})
+    return assemble_result(
+        spec, config, algorithm, final, total, payloads,
+        plan=plan0, elapsed=base, spans=spans, recovery=report,
     )
-    if auto_counters:
-        result.trace_counters.update(auto_counters)
-
-    registry = MetricsRegistry()
-    registry.merge_counters(counters)
-    if auto_counters:
-        registry.merge_counters(auto_counters)
-    registry.counter("sim.events_processed").inc(events_processed)
-    registry.gauge("sim.max_heap_len").set(max_heap_len)
-    registry.gauge("run.elapsed").set(result.elapsed)
-    registry.gauge("run.write_bandwidth").set(result.write_bandwidth)
-    registry.gauge("fs.bytes_written").set(bytes_written)
-    registry.counter("fs.writes_failed").inc(writes_failed)
-    registry.counter("fs.writes_rejected").inc(writes_rejected)
-    registry.gauge("fs.targets_down").set(len(down))
-    registry.counter("recovery.attempts").inc(attempt)
-    registry.counter("recovery.rank_crashes").inc(len(crashed))
-    registry.counter("recovery.ost_outages").inc(len(down))
-    registry.counter("recovery.replayed_bytes").inc(replayed_bytes)
-    registry.counter("recovery.torn_cycles").inc(torn_total)
-    registry.gauge("recovery.failover_time").set(total_failover)
-    if staging_used:
-        registry.merge_counters(staging_counters)
-        registry.counter("staging.lost_bytes").inc(staging_lost)
-        registry.gauge("staging.occupancy_peak").set(staging_peak)
-    for span in all_spans:
-        registry.histogram(f"span.{span.category}.dur").observe(span.dur)
-    result.metrics = registry.snapshot()
-
-    if spec.verify or config.verify:
-        result.verified, result.file_sha256 = _verify_file(
-            final_world, spec.path, spec.views, payloads
-        )
-    return result

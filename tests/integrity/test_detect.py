@@ -125,4 +125,4 @@ def test_detect_counters_surface_in_result():
     assert snap["mode"] == "repair"
     assert snap["detected"] >= 1
     assert snap["detected"] == snap["repaired"]
-    assert res.trace_counters.get("integrity.detected", 0) == snap["detected"]
+    assert res.metrics["counters"].get("integrity.detected", 0) == snap["detected"]

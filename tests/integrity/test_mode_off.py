@@ -32,7 +32,7 @@ def test_mode_off_bit_identical_to_no_spec():
     off = _run(integrity=IntegritySpec(mode="off"))
     assert off.elapsed == plain.elapsed
     assert off.file_sha256 == plain.file_sha256
-    assert off.trace_counters == plain.trace_counters
+    assert off.metrics["counters"] == plain.metrics["counters"]
     assert off.integrity is None
 
 
@@ -41,7 +41,7 @@ def test_mode_off_bit_identical_with_staging():
     off = _run(integrity=IntegritySpec(mode="off"), staged=True)
     assert off.elapsed == plain.elapsed
     assert off.file_sha256 == plain.file_sha256
-    assert off.trace_counters == plain.trace_counters
+    assert off.metrics["counters"] == plain.metrics["counters"]
 
 
 def test_mode_off_identical_corruption_schedule():

@@ -67,12 +67,12 @@ def test_repair_visible_in_counters():
     faults = fault_preset("bitrot_cluster")
     res = run_collective_write(_spec("write_overlap", 8, mode="repair",
                                      faults=faults))
-    assert res.trace_counters.get("integrity.repaired", 0) >= 1
+    assert res.metrics["counters"].get("integrity.repaired", 0) >= 1
     # Repair happened via retransmission/refetch/rewrite, never silently.
     repair_paths = (
-        res.trace_counters.get("integrity.retransmit", 0)
-        + res.trace_counters.get("integrity.refetch", 0)
-        + res.trace_counters.get("integrity.rewrite", 0)
+        res.metrics["counters"].get("integrity.retransmit", 0)
+        + res.metrics["counters"].get("integrity.refetch", 0)
+        + res.metrics["counters"].get("integrity.rewrite", 0)
     )
     assert repair_paths >= 1
 

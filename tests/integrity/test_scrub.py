@@ -57,7 +57,7 @@ def test_scrub_repairs_in_repair_mode():
     assert reports, "scrub produced no reports"
     assert sum(r["mismatches"] for r in reports) >= 1
     assert all(r["mismatches"] == r["repaired"] for r in reports)
-    assert res.trace_counters.get("integrity.rewrite", 0) >= 1
+    assert res.metrics["counters"].get("integrity.rewrite", 0) >= 1
 
 
 def test_scrub_disabled_lets_storage_corruption_through():
