@@ -614,6 +614,8 @@ def run_attempt(
             f"supplied plan has cycle_bytes={plan.cycle_bytes}, but algorithm "
             f"{algorithm!r} needs {cycle_bytes}"
         )
+    if spec.carry_data:
+        world.pfs.open(spec.path).reserve(plan.file_end)
 
     def program(mpi):
         fh = yield from mpi.file_open(spec.path)
@@ -692,6 +694,12 @@ def assemble_result(
     return result
 
 
+#: Bytes :func:`_verify_file` checks per step.  One window of expected
+#: bytes and its compare mask are all a verify allocates beyond the
+#: payloads and the file.
+_VERIFY_WINDOW = 8 << 20
+
+
 def _verify_file(
     world: World,
     path: str,
@@ -703,21 +711,40 @@ def _verify_file(
     Returns ``(ok, sha256)`` where the hash is of the *actual* file bytes
     read back from the simulated PFS — the identity witness the staging
     acceptance check compares across staging-on/off runs.
+
+    Walks ``[0, size)`` in :data:`_VERIFY_WINDOW` steps: each window's
+    expected bytes are scattered from the payloads in view order (a later
+    rank wins on overlap), compared against a zero-copy view of the
+    stored bytes and fed to the digest, so memory stays at one window
+    beyond the payloads and the file.
     """
     ends = [v.file_range[1] for v in views.values() if v.num_extents]
     size = max(ends) if ends else 0
-    expected = np.zeros(size, dtype=np.uint8)
-    for rank, view in views.items():
-        data = payloads[rank]
-        for off, ln, loc in zip(view.offsets, view.lengths, view.local_offsets):
-            expected[off : off + ln] = data[loc : loc + ln]
-    actual = world.pfs.open(path).read(0, size)
-    ok = bool(np.array_equal(actual, expected))
-    if not ok:
-        bad = np.flatnonzero(actual != expected)
+    simfile = world.pfs.open(path)
+    digest = hashlib.sha256()
+    wrong = 0
+    first_bad = None
+    for lo in range(0, size, _VERIFY_WINDOW):
+        hi = min(lo + _VERIFY_WINDOW, size)
+        expected = np.zeros(hi - lo, dtype=np.uint8)
+        for rank, view in views.items():
+            data = payloads[rank]
+            offs, lens, locs = view.clip(lo, hi)
+            for off, ln, loc in zip(offs.tolist(), lens.tolist(), locs.tolist()):
+                expected[off - lo : off - lo + ln] = data[loc : loc + ln]
+        actual = simfile.view(lo, hi - lo)
+        if len(actual) < hi - lo:  # the file ends inside this window: zeros
+            actual = np.concatenate([actual, np.zeros(hi - lo - len(actual), np.uint8)])
+        digest.update(actual)
+        diff = actual != expected
+        nbad = int(np.count_nonzero(diff))
+        if nbad:
+            wrong += nbad
+            if first_bad is None:
+                first_bad = lo + int(diff.argmax())
+    if wrong:
         raise AssertionError(
-            f"collective write corrupted the file: {bad.size} wrong bytes, "
-            f"first at offset {bad[0] if bad.size else '?'}"
+            f"collective write corrupted the file: {wrong} wrong bytes, "
+            f"first at offset {first_bad}"
         )
-    digest = hashlib.sha256(np.ascontiguousarray(actual).tobytes()).hexdigest()
-    return ok, digest
+    return True, digest.hexdigest()

@@ -491,6 +491,7 @@ def run_collective_read(
     payloads = {r: data_factory(r, views[r].total_bytes) for r in range(nprocs)}
     if carry_data:
         simfile = world.pfs.open(path)
+        simfile.reserve(plan.file_end)
         for rank, view in views.items():
             data = payloads[rank]
             for off, ln, loc in zip(view.offsets, view.lengths, view.local_offsets):

@@ -78,15 +78,8 @@ def _matrix_square(mat: list[int]) -> list[int]:
     return [_matrix_times_vec(mat, col) for col in mat]
 
 
-@lru_cache(maxsize=None)
 def _shift_operator(len2: int) -> list[int]:
-    """The 32x32 GF(2) matrix advancing a CRC through ``len2`` zero bytes.
-
-    Cached per length: piece sizes in a collective write repeat heavily
-    (every cycle produces the same extent shapes), so after the first
-    cycle a combine costs one 32-step matrix·vector product, not a
-    fresh O(log n) matrix build.
-    """
+    """The 32x32 GF(2) matrix advancing a CRC through ``len2`` zero bytes."""
     # One-bit-shift operator (reflected polynomial).
     odd = [_CRC32_POLY_REFLECTED] + [1 << i for i in range(31)]
     even = _matrix_square(odd)  # two-bit shift
@@ -107,6 +100,27 @@ def _shift_operator(len2: int) -> list[int]:
     return combined
 
 
+@lru_cache(maxsize=None)
+def _shift_tables(len2: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """:func:`_shift_operator` as four 256-entry byte tables.
+
+    The operator is linear, so its image of a CRC is the xor of the
+    images of the CRC's four bytes: table ``k`` holds the image of every
+    value of byte ``k``.  Cached per length: piece sizes in a collective
+    write repeat heavily (every cycle produces the same extent shapes),
+    so after the first cycle a combine is four lookups and three xors,
+    not a 32-step matrix·vector product or a fresh O(log n) matrix build.
+    """
+    mat = _shift_operator(len2)
+    tables = []
+    for k in range(4):
+        table = [0]
+        for col in mat[8 * k : 8 * k + 8]:
+            table += [entry ^ col for entry in table]
+        tables.append(table)
+    return tuple(tables)
+
+
 def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
     """``crc32(A + B)`` given ``crc1 = crc32(A)``, ``crc2 = crc32(B)``.
 
@@ -115,7 +129,11 @@ def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
     """
     if len2 == 0:
         return crc1
-    return _matrix_times_vec(_shift_operator(len2), crc1) ^ crc2
+    t0, t1, t2, t3 = _shift_tables(len2)
+    return (
+        t0[crc1 & 0xFF] ^ t1[(crc1 >> 8) & 0xFF] ^ t2[(crc1 >> 16) & 0xFF]
+        ^ t3[crc1 >> 24] ^ crc2
+    )
 
 
 def crc32_concat(pieces) -> int:

@@ -48,6 +48,41 @@ def test_numpy_write():
     assert np.array_equal(f.read(3, 256), data)
 
 
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_buffer_inputs_store_identical_bytes(wrap):
+    raw = bytes(range(200))
+    f = SimFile("x")
+    f.write(7, wrap(raw))
+    assert bytes(f.read(7, 200)) == raw
+    assert f.size == 207
+
+
+def test_reserve_allocates_once_and_keeps_size():
+    f = SimFile("x")
+    f.reserve(10_000)
+    data = f._data
+    assert f.size == 0
+    f.reserve(5_000)  # capacity suffices: no-op
+    f.write(9_000, b"tail")
+    assert f._data is data  # no regrowth inside the reservation
+    assert f.size == 9_004
+    f.write(20_000, b"x")  # past the reservation: grows as before
+    assert bytes(f.read(9_000, 4)) == b"tail"
+    assert f.size == 20_001
+
+
+def test_view_is_readonly_zero_copy_and_short_at_eof():
+    f = SimFile("x")
+    f.reserve(64)
+    f.write(0, b"abcdef")
+    v = f.view(2, 10)
+    assert bytes(v) == b"cdef"  # the file ends first: view is short
+    assert not v.flags.writeable
+    f.write(3, b"Z")
+    assert bytes(v) == b"cZef"  # a view, not a copy
+    assert f.view(100, 4).size == 0
+
+
 def test_invalid_args():
     f = SimFile("x")
     with pytest.raises(FileSystemError):
@@ -56,6 +91,8 @@ def test_invalid_args():
         f.read(-1, 4)
     with pytest.raises(FileSystemError):
         f.read(0, -4)
+    with pytest.raises(FileSystemError):
+        f.view(-1, 4)
 
 
 @given(

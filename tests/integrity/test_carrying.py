@@ -61,6 +61,21 @@ class TestCombineAlgebra:
         crc = zlib.crc32(b"payload")
         assert crc32_combine(crc, 0, 0) == crc
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.binary(max_size=64),
+        st.one_of(
+            st.sampled_from([0, 1]),
+            st.integers(0, 4096).map(lambda n: 2 * n + 1),  # odd lengths
+            st.integers(1 << 20, (1 << 20) + 4096),  # over 1 MiB
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_table_combine_matches_zlib_at_any_length(self, a, len2, seed):
+        """The byte tables give zlib's answer at edge and large lengths."""
+        b = np.random.default_rng(seed).integers(0, 256, len2, dtype=np.uint8).tobytes()
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len2) == zlib.crc32(a + b)
+
 
 class TestChecksumLedger:
     """Offset-keyed piece registry: exact tiling or nothing."""
@@ -145,6 +160,31 @@ class TestStoredCrcMetadata:
         f.write(8, np.ones(4, dtype=np.uint8))  # overlaps [0, 16) only
         assert f.stored_crc(0, 16) is None
         assert f.stored_crc(32, 8) == 12345
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), st.integers(0, 300), st.integers(0, 60)),
+            st.tuples(st.just("note"), st.integers(0, 300), st.integers(0, 60)),
+        ),
+        max_size=40,
+    ))
+    def test_interval_index_matches_linear_scan(self, ops):
+        """Invalidation by bisection drops exactly the keys a scan of
+        every stored extent would, also when recorded extents overlap."""
+        f = SimFile("/x")
+        ref: dict[tuple[int, int], int] = {}
+        for i, (op, offset, nbytes) in enumerate(ops):
+            if op == "note":
+                f.note_stored_crc(offset, nbytes, i)
+                ref[(offset, nbytes)] = i
+                continue
+            f.write(offset, np.full(nbytes, i % 256, dtype=np.uint8))
+            end = offset + nbytes
+            ref = {k: v for k, v in ref.items() if not (k[0] < end and offset < k[0] + k[1])}
+            for off, ln in {(o, n) for _, o, n in ops}:
+                assert f.stored_crc(off, ln) == ref.get((off, ln))
+        assert f._crc_keys == sorted(ref)
 
     def test_adjacent_write_does_not_invalidate(self):
         f = SimFile("/x")
