@@ -8,11 +8,16 @@ reproduce exactly:
   is also the hash of the independently-checked expectation);
 * ``num_cycles`` — the plan's cycle count;
 * ``spans`` — closed-span count per category (algo/io/comm/staging
-  ...), a cheap structural summary of the run's event timeline.
+  ...), a cheap structural summary of the run's event timeline;
+* ``elapsed`` — ``repr`` of the simulated elapsed time, exact to the
+  last bit;
+* ``events`` — ``sim.events_processed``, the number of events the
+  engine processed.
 
-Timing values are deliberately NOT part of the fingerprint: cost-model
-tuning may move them, while data placement, plan shape and span
-structure must not drift silently.  Regenerate with::
+``elapsed`` and ``events`` pin the event timeline itself: an engine or
+hot-path refactor that adds, drops or reorders an event moves at least
+one of them even when the bytes and span counts survive.  A deliberate
+cost-model or event-count change re-records them.  Regenerate with::
 
     PYTHONPATH=src python tests/golden/refresh.py
 
@@ -101,6 +106,8 @@ def fingerprint(
     for span in result.spans:
         spans[span.category] = spans.get(span.category, 0) + 1
     return {
+        "elapsed": repr(result.elapsed),
+        "events": result.metrics["counters"]["sim.events_processed"],
         "file_sha256": result.file_sha256,
         "num_cycles": result.num_cycles,
         "spans": dict(sorted(spans.items())),
