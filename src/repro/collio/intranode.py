@@ -95,10 +95,10 @@ class TwoLayerShuffle:
         return handle
 
     def wait(self, ctx: AlgoContext, handle):
-        yield from self.inner.wait(ctx, handle)
+        return self.inner.wait(ctx, handle)
 
     def finish(self, ctx: AlgoContext, handle):
-        yield from self.inner.finish(ctx, handle)
+        return self.inner.finish(ctx, handle)
 
     def blocking(self, ctx: AlgoContext, cycle: int):
         handle = yield from self.init(ctx, cycle)

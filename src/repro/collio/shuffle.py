@@ -186,7 +186,26 @@ class TwoSidedShuffle:
         ctx.stats.add_time("shuffle", ctx.mpi.now - t0)
 
     def finish(self, ctx: AlgoContext, handle: ShuffleHandle):
-        """The post-transfer unpack/scatter step (aggregator CPU)."""
+        """The post-transfer unpack/scatter step (aggregator CPU).
+
+        ``yield from`` it.  A rank with nothing to unpack or copy this
+        cycle gets an empty tuple, not a generator.
+        """
+        if handle.unpacks or handle.local_copies:
+            return self._place(ctx, handle)
+        self._placed(ctx, handle)
+        return ()
+
+    @staticmethod
+    def _placed(ctx: AlgoContext, handle: ShuffleHandle) -> None:
+        """This cycle's data is now fully placed in the sub-buffer: the
+        in-flight shuffle ends here (covers both the wait() path and
+        write_comm's joint-waitall path, which calls finish() directly)."""
+        if handle.comm_span is not None:
+            ctx.recorder.end(handle.comm_span, ctx.mpi.now)
+            handle.comm_span = None
+
+    def _place(self, ctx: AlgoContext, handle: ShuffleHandle):
         cycle = handle.cycle
         if handle.unpacks and ctx.is_aggregator:
             by_src = {
@@ -225,12 +244,7 @@ class TwoSidedShuffle:
             _scatter(ctx, cycle, sa, _pack(src_arr, sa))
             ctx.file_cycle_checksums(sa, pieces)
             yield from ctx.mpi.compute(ctx.local_copy_cost(sa.nbytes, sa.npieces))
-        # This cycle's data is now fully placed in the sub-buffer — the
-        # in-flight shuffle ends here (covers both the wait() path and
-        # write_comm's joint-waitall path, which calls finish() directly).
-        if handle.comm_span is not None:
-            ctx.recorder.end(handle.comm_span, ctx.mpi.now)
-            handle.comm_span = None
+        self._placed(ctx, handle)
 
     def blocking(self, ctx: AlgoContext, cycle: int):
         handle = yield from self.init(ctx, cycle)
@@ -277,9 +291,8 @@ class _OneSidedBase:
         yield from self.wait(ctx, handle)
 
     def finish(self, ctx: AlgoContext, handle: ShuffleHandle):
-        """No unpack needed: puts land in place."""
-        return
-        yield  # pragma: no cover
+        """No unpack needed: puts land in place (``yield from`` it)."""
+        return ()
 
     @property
     def combinable(self) -> bool:

@@ -58,16 +58,10 @@ class Fabric:
         """
         if size < 0:
             raise ValueError(f"negative transfer size: {size}")
-        eng = self.engine
         if src_node == dst_node:
             self.intra_node_bytes += size
-            node = self.nodes[src_node]
-            done = node.memory.submit(size)
-            if self.intra_node_latency:
-                # submit() already charges the memory engine's own latency;
-                # an extra fixed software overhead can be folded in here.
-                pass
-            return done
+            # submit() already charges the memory engine's own latency.
+            return self.nodes[src_node].memory.submit(size)
         self.inter_node_bytes += size
         tx = self.nics[src_node].tx
         rx = self.nics[dst_node].rx
@@ -75,11 +69,13 @@ class Fabric:
         duration = size / bandwidth
         if self.noise is not None:
             duration *= self.noise()
-        start = max(tx.earliest_start(), rx.earliest_start(), eng.now)
+        eng = self.engine
+        now = eng.now
+        start = max(tx.earliest_start(), rx.earliest_start(), now)
         tx.occupy(start, duration, size)
         rx.occupy(start, duration, size)
         finish = start + duration + self.wire_latency
-        return eng.timeout(finish - eng.now, value=finish)
+        return eng.timeout(finish - now, value=finish)
 
     def transfer_time_estimate(self, src_node: int, dst_node: int, size: int) -> float:
         """Uncontended transfer time estimate (used by planners, not physics)."""

@@ -1,8 +1,12 @@
 """The per-rank MPI API (communicator facade).
 
-Every potentially time-consuming call is a **generator** to be driven with
-``yield from`` inside a rank's program; this is how the simulation charges
-CPU time and opens *progress windows* (see :mod:`repro.mpi.runtime`):
+Every potentially time-consuming call is driven with ``yield from``
+inside a rank's program; this is how the simulation charges CPU time and
+opens *progress windows* (see :mod:`repro.mpi.runtime`).  Most calls are
+generators.  A call that is nothing but one timeout (:meth:`compute`)
+returns that timeout in a one-element tuple instead, and a call that only
+forwards to another returns the callee's generator, so the rank's own
+generator waits on the event without an extra generator frame per call:
 
 * all methods here charge the cluster's ``mpi_call_overhead`` and hold a
   progress window for their duration — in particular, a rank blocked in
@@ -64,6 +68,8 @@ class Communicator:
         self._runtime = world.runtime(rank)
         self._spec = world.cluster.spec
         self._coll_seq = 0
+        #: The world's engine, cached: ``now`` is read on every hot call.
+        self.engine = world.engine
 
     # ------------------------------------------------------------------
     @property
@@ -72,12 +78,8 @@ class Communicator:
         return self.world.nprocs
 
     @property
-    def engine(self):
-        return self.world.engine
-
-    @property
     def now(self) -> float:
-        return self.world.engine.now
+        return self.engine.now
 
     @property
     def node(self) -> int:
@@ -156,7 +158,7 @@ class Communicator:
 
     def wait(self, request: Request):
         """Block (with progress) until ``request`` completes."""
-        yield from self.waitall([request])
+        return self.waitall([request])
 
     def waitall(self, requests: Sequence[Request]):
         """Block (with progress) until every request completes."""
@@ -216,25 +218,21 @@ class Communicator:
 
     def barrier(self):
         """Synchronize all ranks (dissemination-cost model)."""
-        yield from self._collective("barrier")
+        return self._collective("barrier")
 
     def bcast(self, obj: Any = None, root: int = 0, nbytes: int = 0):
         """Broadcast ``obj`` from ``root``; returns the root's object."""
-        result = yield from self._collective("bcast", payload=obj, nbytes=nbytes, root=root)
-        return result
+        return self._collective("bcast", payload=obj, nbytes=nbytes, root=root)
 
     def allgather(self, obj: Any, nbytes: int):
         """All-gather Python objects; returns the list ordered by rank."""
-        result = yield from self._collective("allgather", payload=obj, nbytes=nbytes)
-        return result
+        return self._collective("allgather", payload=obj, nbytes=nbytes)
 
     def allreduce_sum(self, value: Any, nbytes: int = 8):
-        result = yield from self._collective("allreduce_sum", payload=value, nbytes=nbytes)
-        return result
+        return self._collective("allreduce_sum", payload=value, nbytes=nbytes)
 
     def allreduce_max(self, value: Any, nbytes: int = 8):
-        result = yield from self._collective("allreduce_max", payload=value, nbytes=nbytes)
-        return result
+        return self._collective("allreduce_max", payload=value, nbytes=nbytes)
 
     # ------------------------------------------------------------------
     # One-sided communication
@@ -261,11 +259,15 @@ class Communicator:
     # Non-MPI time
     # ------------------------------------------------------------------
     def compute(self, seconds: float):
-        """Application CPU time: the rank makes **no** MPI progress."""
+        """Application CPU time: the rank makes **no** MPI progress.
+
+        ``yield from`` it like every other call: the one timeout comes in
+        a one-element tuple (empty for zero seconds), so the caller's
+        generator yields it directly.
+        """
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        if seconds:
-            yield self.engine.timeout(seconds)
+        return (self.engine.timeout(seconds),) if seconds else ()
 
     def io_wait(self, event, setup_cost: float = 0.0):
         """Block in a non-MPI system call (e.g. a POSIX write).

@@ -151,7 +151,8 @@ class RankRuntime:
     def enter_progress(self) -> None:
         """Mark the rank as inside an MPI call; drains deferred work."""
         self._progress_depth += 1
-        self._drain_progress_work()
+        if self._on_progress:
+            self._drain_progress_work()
 
     def exit_progress(self) -> None:
         if self._progress_depth <= 0:

@@ -182,9 +182,11 @@ class ServerQueue:
             if noise_factor <= 0:
                 raise ValueError(f"noise factor must be positive, got {noise_factor}")
             service *= noise_factor
-        start = max(self._next_free, self.engine.now)
+        engine = self.engine
+        now = engine.now
+        start = max(self._next_free, now)
         finish = start + service
         self._next_free = finish
         self.bytes_served += size
         self.requests_served += 1
-        return self.engine.timeout(finish - self.engine.now, value=finish)
+        return engine.timeout(finish - now, value=finish)
